@@ -94,11 +94,6 @@ class TestbedConfig:
     transport: str = "ipoib"
     #: Cores per node (§5.1: 8-core Clovertown).
     cores: int = 8
-    #: DES scheduler backend: "heap", "calendar", or ``None`` to defer
-    #: to the ``REPRO_SCHEDULER`` environment override (default heap).
-    #: Either backend produces byte-identical results; "calendar" is
-    #: faster at large client counts (see DESIGN §12).
-    scheduler: Optional[str] = None
 
     # -- file server ------------------------------------------------------
     #: Server page-cache budget (8 GB nodes; ~6 GB usable for cache).
@@ -352,7 +347,7 @@ def build_gluster_testbed(
     """
     cfg = cfg or TestbedConfig()
     obs = obs or Observability()
-    sim = Simulator(scheduler=cfg.scheduler)
+    sim = Simulator()
     obs.bind(sim)
     tracer = obs.tracer
     reg = obs.registry
@@ -550,7 +545,7 @@ def build_lustre_testbed(
 ) -> LustreTestbed:
     cfg = cfg or TestbedConfig()
     obs = obs or Observability()
-    sim = Simulator(scheduler=cfg.scheduler)
+    sim = Simulator()
     obs.bind(sim)
     tracer = obs.tracer
     net = Network(sim, profile(cfg.transport))
@@ -599,7 +594,7 @@ def build_nfs_testbed(
 ) -> NFSTestbed:
     cfg = cfg or TestbedConfig()
     obs = obs or Observability()
-    sim = Simulator(scheduler=cfg.scheduler)
+    sim = Simulator()
     obs.bind(sim)
     tracer = obs.tracer
     net = Network(sim, profile(cfg.transport))

@@ -1,28 +1,17 @@
-"""The discrete-event simulator core: clock, scheduler, and run loop.
+"""The discrete-event simulator core: clock, event queue, and run loop.
 
-Two scheduler backends sit behind the same :class:`Simulator` API:
-
-* ``"heap"`` (default) — one global binary heap of
-  ``(time, priority, seq, event)`` entries; fastest at small scale.
-* ``"calendar"`` — a bucketed calendar queue with a spill heap for
-  far-future events (:mod:`repro.sim.calendar`); O(1) inserts and
-  near-O(1) pops for the short-delay timeout traffic that dominates
-  large client populations.
-
-Both backends pop entries in the identical strict total order (``seq``
-is unique), so a run is byte-identical regardless of backend; choose by
-wall-clock profile, never by semantics.
+The event queue is one global binary heap of ``(time, priority, seq,
+event)`` entries.  ``seq`` is unique, so entries pop in a strict total
+order and a run is exactly reproducible.
 """
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from heapq import heappop, heappush
 from itertools import repeat
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.errors import EmptySchedule, StopSimulation
 from repro.sim.events import (
     AllOf,
@@ -35,24 +24,6 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process, ProcessGenerator
-
-#: Recognised scheduler backend names.
-SCHEDULERS = ("heap", "calendar")
-
-#: Environment override consulted when ``Simulator(scheduler=None)``:
-#: lets a whole test/experiment run A/B the backends without threading
-#: a parameter through every call site (worker processes inherit it).
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-
-
-def resolve_scheduler(name: Optional[str]) -> str:
-    """Normalise a scheduler choice: ``None`` falls back to the
-    ``REPRO_SCHEDULER`` environment variable, then to ``"heap"``."""
-    if name is None:
-        name = os.environ.get(SCHEDULER_ENV) or "heap"
-    if name not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {name!r}; have {SCHEDULERS}")
-    return name
 
 
 class Simulator:
@@ -80,24 +51,12 @@ class Simulator:
     #: only about one pooled event per concurrently-waiting process.
     TIMEOUT_POOL_MAX = 1024
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        scheduler: Union[str, CalendarQueue, None] = None,
-    ) -> None:
+    #: Event-queue kind; kept because benchmark run metadata records it.
+    scheduler = "heap"
+
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, int, Event]] = []
-        #: Calendar-queue backend, or ``None`` for the default heap.
-        #: Hot paths branch on this once and never consult ``scheduler``.
-        self._calendar: Optional[CalendarQueue]
-        if isinstance(scheduler, CalendarQueue):
-            self._calendar = scheduler
-            self.scheduler = "calendar"
-        else:
-            self.scheduler = resolve_scheduler(scheduler)
-            self._calendar = (
-                CalendarQueue() if self.scheduler == "calendar" else None
-            )
         self._seq = 0
         #: Monotone process counter; gives every Process a stable per-sim
         #: serial so observers (the span tracer) can key per-process
@@ -125,9 +84,8 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of scheduled-but-unprocessed events (either backend)."""
-        cal = self._calendar
-        return len(self._heap) if cal is None else len(cal)
+        """Number of scheduled-but-unprocessed events."""
+        return len(self._heap)
 
     # -- event factories --------------------------------------------------
     def event(self) -> Event:
@@ -151,12 +109,7 @@ class Simulator:
             ev._value = None
             ev.delay = delay
             self._seq += 1
-            entry = (self._now + delay, NORMAL, self._seq, ev)
-            cal = self._calendar
-            if cal is None:
-                heappush(self._heap, entry)
-            else:
-                cal.push(entry)
+            heappush(self._heap, (self._now + delay, NORMAL, self._seq, ev))
             return ev
         return PooledTimeout(self, delay)
 
@@ -184,19 +137,14 @@ class Simulator:
         from ``at - now``).
         """
         self._seq += 1
-        entry = (self._now + delay if at is None else at, priority, self._seq, event)
-        cal = self._calendar
-        if cal is None:
-            heappush(self._heap, entry)
-        else:
-            cal.push(entry)
+        heappush(
+            self._heap,
+            (self._now + delay if at is None else at, priority, self._seq, event),
+        )
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` if none)."""
-        cal = self._calendar
-        if cal is None:
-            return self._heap[0][0] if self._heap else float("inf")
-        return cal.peek_time()
+        return self._heap[0][0] if self._heap else float("inf")
 
     def _run_loop(self, limit: int = -1) -> int:
         """Pop and dispatch events until the schedule empties or *limit*
@@ -204,22 +152,17 @@ class Simulator:
 
         This is the **only** event-processing path in the engine:
         :meth:`run` calls it unbounded, :meth:`step` calls it with
-        ``limit=1``, so the two cannot drift as the scheduler backend
-        becomes pluggable.  Returns the number of events processed.
+        ``limit=1``, so the two cannot drift.  Returns the number of
+        events processed.
 
         The loop is the kernel's hottest code; everything it touches is
-        bound to locals once.  Both backends surface exhaustion as
-        ``IndexError`` from *pop*, which is caught *around the pop
-        alone* — an ``IndexError`` escaping a user callback still
-        propagates.
+        bound to locals once.  Exhaustion surfaces as ``IndexError``
+        from *pop*, which is caught *around the pop alone* — an
+        ``IndexError`` escaping a user callback still propagates.
         """
-        cal = self._calendar
-        if cal is None:
-            # `partial` binds the heap at C level: per-pop cost is
-            # indistinguishable from an inline `heappop(self._heap)`.
-            pop = partial(heappop, self._heap)
-        else:
-            pop = cal.pop
+        # `partial` binds the heap at C level: per-pop cost is
+        # indistinguishable from an inline `heappop(self._heap)`.
+        pop = partial(heappop, self._heap)
         pool = self._timeout_pool
         pool_max = self.TIMEOUT_POOL_MAX
         pooled_cls = PooledTimeout
@@ -252,7 +195,8 @@ class Simulator:
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the heap empties, *until* time passes, or *until*
-        event fires.  Returns the until-event's value when given one.
+        event fires.  Returns the until-event's value when given one,
+        and raises its exception if it failed.
         """
         stop_event: Event | None = None
         if until is None:
@@ -260,12 +204,14 @@ class Simulator:
         elif isinstance(until, Event):
             stop_event = until
             if stop_event.callbacks is None:  # already processed
+                if not stop_event._ok:
+                    raise stop_event._value
                 return stop_event._value
             stop_event.callbacks.append(self._stop_on)
         else:
             at = float(until)
-            if at < self._now:
-                raise ValueError(f"until={at} is in the past (now={self._now})")
+            if not at >= self._now:  # also rejects NaN
+                raise ValueError(f"until={at} is not a time >= now ({self._now})")
             stop_event = Event(self)
             stop_event._ok = True
             stop_event._value = None
@@ -287,10 +233,9 @@ class Simulator:
 
     @staticmethod
     def _stop_on(event: Event) -> None:
+        if not event._ok:
+            raise event._value
         raise StopSimulation(event._value)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<Simulator t={self._now:.9f} pending={self.pending} "
-            f"scheduler={self.scheduler}>"
-        )
+        return f"<Simulator t={self._now:.9f} pending={self.pending}>"

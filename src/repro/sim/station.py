@@ -43,7 +43,6 @@ class FifoStation:
         "wait_stats",
         "_track_waits",
         "_created_at",
-        "_cal_push",
     )
 
     def __init__(self, sim: "Simulator", servers: int = 1, name: str = "") -> None:
@@ -52,12 +51,6 @@ class FifoStation:
         self.sim = sim
         self.name = name
         self.servers = servers
-        # Scheduler-backend insert for the fused fast path below: None
-        # means "push straight onto sim._heap"; otherwise the calendar
-        # queue's bound push.  The backend is fixed at Simulator
-        # construction, so caching here is safe.
-        cal = getattr(sim, "_calendar", None)
-        self._cal_push = None if cal is None else cal.push
         # Earliest-free-server heap; server assignment by earliest free
         # time is exact for FIFO multi-server queues.
         self._free = [0.0] * servers
@@ -146,12 +139,7 @@ class FifoStation:
             ev.callbacks = []
             ev.delay = delay
             sim._seq += 1
-            entry = (arrival + delay, NORMAL, sim._seq, ev)
-            push = self._cal_push
-            if push is None:
-                heappush(sim._heap, entry)
-            else:
-                push(entry)
+            heappush(sim._heap, (arrival + delay, NORMAL, sim._seq, ev))
             return ev
         return PooledTimeout(sim, delay)
 
@@ -235,12 +223,7 @@ class FifoStation:
             ev.callbacks = []
             ev.delay = delay
             sim._seq += 1
-            entry = (arrival + delay, NORMAL, sim._seq, ev)
-            push = self._cal_push
-            if push is None:
-                heappush(sim._heap, entry)
-            else:
-                push(entry)
+            heappush(sim._heap, (arrival + delay, NORMAL, sim._seq, ev))
             return ev
         return PooledTimeout(sim, delay)
 

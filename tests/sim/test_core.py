@@ -1,6 +1,8 @@
 """Unit tests for the DES core: clock, run loop, event semantics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     EmptySchedule,
@@ -8,6 +10,8 @@ from repro.sim import (
     SimulationError,
     Simulator,
 )
+from repro.sim.events import NORMAL, URGENT
+from repro.workloads.base import drive
 
 
 def test_initial_time():
@@ -78,6 +82,15 @@ def test_run_until_past_raises():
     sim = Simulator(100.0)
     with pytest.raises(ValueError):
         sim.run(until=50)
+
+
+def test_run_until_nan_raises():
+    sim = Simulator()
+    sim.timeout(1.0)
+    with pytest.raises(ValueError):
+        sim.run(until=float("nan"))
+    assert sim.now == 0.0
+    assert sim.pending == 1
 
 
 def test_run_until_event_returns_value():
@@ -197,6 +210,27 @@ def test_process_exception_propagates_to_run():
         sim.run()
 
 
+def test_run_until_failing_process_raises():
+    """A failed until-event raises its exception, as plain run() does,
+    instead of being returned as the run's value."""
+
+    def bad(sim):
+        yield sim.timeout(1)
+        raise RuntimeError("kaput")
+
+    sim = Simulator()
+    p = sim.process(bad(sim))
+    with pytest.raises(RuntimeError, match="kaput"):
+        sim.run(until=p)
+    assert sim.now == 1
+    # Already processed: the shortcut path raises too.
+    with pytest.raises(RuntimeError, match="kaput"):
+        sim.run(until=p)
+    sim = Simulator()
+    with pytest.raises(RuntimeError, match="kaput"):
+        drive(sim, bad(sim))
+
+
 def test_waiting_process_receives_failure():
     sim = Simulator()
     caught = []
@@ -288,3 +322,94 @@ def test_determinism_two_identical_runs():
         return log
 
     assert build() == build()
+
+
+# -- event-queue ordering ----------------------------------------------------- #
+DELAYS = (0.0, 1e-7, 3e-7, 1e-6, 5e-6, 1e-3, 10.0, 1e6)
+
+spec_lists = st.lists(
+    st.tuples(st.sampled_from(DELAYS), st.sampled_from((URGENT, NORMAL))),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _fire_order(spec) -> list[int]:
+    """Schedule one event per (delay, priority); record firing order."""
+    sim = Simulator()
+    order: list[int] = []
+    for i, (delay, priority) in enumerate(spec):
+        ev = Event(sim)
+        ev._ok = True
+        ev.callbacks.append(lambda e, i=i: order.append(i))
+        sim._schedule(ev, priority, delay)
+    sim.run()
+    return order
+
+
+@given(spec_lists)
+@settings(max_examples=60, deadline=None)
+def test_fire_order_is_the_strict_total_order(spec):
+    # seq is minted in spec order, so the (time, priority, seq) order is
+    # fully predictable from the spec itself.
+    expected = sorted(range(len(spec)), key=lambda i: (spec[i][0], spec[i][1], i))
+    assert _fire_order(spec) == expected
+
+
+def test_urgent_beats_normal_at_same_time():
+    spec = [(1e-6, NORMAL), (1e-6, URGENT), (1e-6, NORMAL), (1e-6, URGENT)]
+    assert _fire_order(spec) == [1, 3, 0, 2]
+
+
+def test_run_until_time_wins_the_tie_at_until():
+    sim = Simulator()
+    fired = []
+    for i, delay in enumerate([0.5, 1.0, 1.0, 1.5, 1e6]):
+        t = sim.timeout(delay, value=i)
+        t.callbacks.append(lambda e, i=i: fired.append(i))
+    sim.run(until=1.0)
+    assert fired == [0]  # STOP priority wins the t=1.0 tie
+    assert sim.now == 1.0
+    assert sim.pending == 4
+    sim.run()
+    assert fired == [0, 1, 2, 3, 4]
+    assert sim.now == 1e6
+
+
+def test_peek_pending_step_trace_with_defused_failures():
+    """peek()/pending/step() walk the schedule in order, including when
+    cancelled (defused-failure) events are interleaved."""
+    sim = Simulator()
+    for i, delay in enumerate([3e-6, 1e-6, 2e-6, 1.0]):
+        ev = Event(sim)
+        if i % 2:
+            ev._ok = True
+        else:
+            # A cancelled operation: failed but explicitly defused, so
+            # the run loop discards it silently.
+            ev._ok = False
+            ev._value = RuntimeError("cancelled")
+            ev._defused = True
+        sim._schedule(ev, NORMAL, delay)
+    trace = []
+    while True:
+        trace.append((sim.peek(), sim.pending))
+        try:
+            sim.step()
+        except EmptySchedule:
+            break
+        trace.append(sim.now)
+    assert trace == [
+        (1e-6, 4), 1e-6,
+        (2e-6, 3), 2e-6,
+        (3e-6, 2), 3e-6,
+        (1.0, 1), 1.0,
+        (float("inf"), 0),
+    ]
+
+
+def test_peek_empty_is_inf_and_step_raises():
+    sim = Simulator()
+    assert sim.peek() == float("inf")
+    with pytest.raises(EmptySchedule):
+        sim.step()
