@@ -52,16 +52,13 @@ class GlusterClient:
         except KeyError:
             raise BadFd(f"fd {fd} is not open") from None
 
-    def _fuse(self) -> Generator:
-        yield self.node.cpu.run(FUSE_OP_CPU)
-
     # -- POSIX-style entry points ------------------------------------------------
     def create(self, path: str) -> Generator:
         """creat(2): create + open; returns an fd."""
         self.stats.inc("creates")
         with self.tracer.span("client", "client.create"):
             self.tracer.op_set(client=self.node.name, path=path)
-            yield from self._fuse()
+            yield self.node.cpu.run(FUSE_OP_CPU)
             yield from self.stack.create(path)
         return self._new_fd(path)
 
@@ -70,7 +67,7 @@ class GlusterClient:
         self.stats.inc("opens")
         with self.tracer.span("client", "client.open"):
             self.tracer.op_set(client=self.node.name, path=path)
-            yield from self._fuse()
+            yield self.node.cpu.run(FUSE_OP_CPU)
             yield from self.stack.open(path)
         return self._new_fd(path)
 
@@ -85,10 +82,10 @@ class GlusterClient:
                     tracer.op_set(
                         client=self.node.name, path=path, nbytes=size
                     )
-                yield from self._fuse()
+                yield self.node.cpu.run(FUSE_OP_CPU)
                 result: ReadResult = yield from self.stack.read(path, offset, size)
         else:
-            yield from self._fuse()
+            yield self.node.cpu.run(FUSE_OP_CPU)
             result = yield from self.stack.read(path, offset, size)
         return result
 
@@ -103,10 +100,10 @@ class GlusterClient:
                     tracer.op_set(
                         client=self.node.name, path=path, nbytes=size
                     )
-                yield from self._fuse()
+                yield self.node.cpu.run(FUSE_OP_CPU)
                 version = yield from self.stack.write(path, offset, size, data)
         else:
-            yield from self._fuse()
+            yield self.node.cpu.run(FUSE_OP_CPU)
             version = yield from self.stack.write(path, offset, size, data)
         return version
 
@@ -118,10 +115,10 @@ class GlusterClient:
             with tracer.span("client", "client.stat"):
                 if tracer.oplog is not None:
                     tracer.op_set(client=self.node.name, path=path)
-                yield from self._fuse()
+                yield self.node.cpu.run(FUSE_OP_CPU)
                 result: StatBuf = yield from self.stack.stat(path)
         else:
-            yield from self._fuse()
+            yield self.node.cpu.run(FUSE_OP_CPU)
             result = yield from self.stack.stat(path)
         return result
 
@@ -131,7 +128,7 @@ class GlusterClient:
 
     def truncate(self, path: str, length: int) -> Generator:
         with self.tracer.span("client", "client.truncate"):
-            yield from self._fuse()
+            yield self.node.cpu.run(FUSE_OP_CPU)
             result = yield from self.stack.truncate(path, length)
         return result
 
@@ -139,7 +136,7 @@ class GlusterClient:
         self.stats.inc("unlinks")
         with self.tracer.span("client", "client.unlink"):
             self.tracer.op_set(client=self.node.name, path=path)
-            yield from self._fuse()
+            yield self.node.cpu.run(FUSE_OP_CPU)
             yield from self.stack.unlink(path)
 
     def fsync(self, fd: int) -> Generator:
@@ -148,7 +145,7 @@ class GlusterClient:
         self.stats.inc("fsyncs")
         with self.tracer.span("client", "client.fsync"):
             self.tracer.op_set(client=self.node.name, path=path)
-            yield from self._fuse()
+            yield self.node.cpu.run(FUSE_OP_CPU)
             yield from self.stack.fsync(path)
 
     def close(self, fd: int) -> Generator:
@@ -157,6 +154,6 @@ class GlusterClient:
         self.stats.inc("closes")
         with self.tracer.span("client", "client.close"):
             self.tracer.op_set(client=self.node.name, path=path)
-            yield from self._fuse()
+            yield self.node.cpu.run(FUSE_OP_CPU)
             yield from self.stack.flush(path)
         del self._fds[fd]

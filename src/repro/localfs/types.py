@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.util.intervals import IntervalVersionMap, intervals_equal
@@ -29,7 +29,11 @@ class StatBuf:
     WIRE_SIZE = 144
 
     def copy(self) -> "StatBuf":
-        return replace(self)
+        # Not dataclasses.replace: it re-runs __init__ and costs several
+        # times as much, once per stat hit.
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        return new
 
     @property
     def blocks(self) -> int:

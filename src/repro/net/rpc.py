@@ -204,15 +204,27 @@ class Endpoint:
         """:meth:`call` with the policy's deadline and bounded retries.
 
         Retries both flavours of :class:`RpcError`, sleeping the
-        policy's backoff between attempts.  ``policy=None`` degenerates
-        to a plain inline :meth:`call`.  Semantics are at-least-once: a
-        timed-out attempt may still have executed server-side, so
-        non-idempotent services must tolerate replays (every memcached
-        and GlusterFS fop here is idempotent or last-writer-wins).
+        policy's backoff between attempts.  Returns the generator to
+        ``yield from``; for ``policy=None`` that is the plain inline
+        :meth:`call` generator itself, so the hot path adds no frame.
+        Semantics are at-least-once: a timed-out attempt may still have
+        executed server-side, so non-idempotent services must tolerate
+        replays (every memcached and GlusterFS fop here is idempotent or
+        last-writer-wins).
         """
         if policy is None:
-            reply = yield from self.call(dst, service, args, req_size)
-            return reply
+            return self.call(dst, service, args, req_size)
+        return self._retry(dst, service, args, req_size, policy)
+
+    def _retry(
+        self,
+        dst: Node,
+        service: str,
+        args: Any,
+        req_size: int,
+        policy: RetryPolicy,
+    ) -> Generator[Any, Any, Any]:
+        """The :meth:`call_retry` loop for a non-``None`` policy."""
         sim = self.net.sim
         attempts = policy.max_retries + 1
         for attempt in range(attempts):

@@ -1,39 +1,21 @@
-"""CRC-32 (IEEE 802.3) implemented from scratch.
+"""CRC-32 (IEEE 802.3) and libmemcache's key hash.
 
 libmemcache uses CRC32 of the key to pick a memcached server
 (``crc32(key) % nservers`` after folding); IMCa inherits that default
-(paper §4.2, §5.1).  We implement the table-driven algorithm ourselves so
-the placement function is self-contained, and verify it against
-:func:`zlib.crc32` in the test suite.
+(paper §4.2, §5.1).  The checksum itself is :func:`zlib.crc32`; the test
+suite pins known-answer vectors and the resulting key placement.
 """
 
 from __future__ import annotations
 
-_POLY = 0xEDB88320
-
-
-def _make_table() -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ _POLY
-            else:
-                crc >>= 1
-        table.append(crc)
-    return tuple(table)
-
-
-_TABLE = _make_table()
+import zlib
 
 
 def crc32(data: bytes | bytearray | memoryview | str, value: int = 0) -> int:
     """Return the CRC-32 checksum of *data*.
 
-    Matches :func:`zlib.crc32` bit-for-bit.  ``str`` input is encoded as
-    UTF-8 (memcached keys are byte strings; all keys IMCa generates are
-    ASCII paths plus offsets).
+    ``str`` input is encoded as UTF-8 (memcached keys are byte strings;
+    all keys IMCa generates are ASCII paths plus offsets).
 
     Parameters
     ----------
@@ -44,17 +26,13 @@ def crc32(data: bytes | bytearray | memoryview | str, value: int = 0) -> int:
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    crc = (~value) & 0xFFFFFFFF
-    table = _TABLE
-    for byte in data:
-        crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return (~crc) & 0xFFFFFFFF
+    return zlib.crc32(data, value)
 
 
 def memcache_hash(key: bytes | str) -> int:
     """The key hash used by libmemcache's default CRC32 distribution.
 
-    libmemcache folds the CRC to 16 bits: ``(crc32(key) >> 16) & 0x7fff``.
+    libmemcache folds the CRC to 15 bits: ``(crc32(key) >> 16) & 0x7fff``.
     The fold keeps the distribution uniform while avoiding the low-order
     bytes, which for short keys vary little.
     """

@@ -243,15 +243,34 @@ def test_no_timeout_no_policy_is_the_historical_path():
         return "x", 16
 
     sep.register("echo", echo)
-    t = []
+    t, calls = [], []
 
     def proc():
         r1 = yield from cep.call(server, "echo")
         t.append(sim.now)
+        calls.append(cep.stats.get("calls"))
         r2 = yield from cep.call_retry(server, "echo", policy=None)
         t.append(sim.now)
+        calls.append(cep.stats.get("calls"))
         assert r1 == r2 == "x"
 
     sim.process(proc())
     sim.run()
     assert t[1] - t[0] == pytest.approx(t[0])  # identical round-trip cost
+    assert calls == [1, 2]  # each counts one call, exactly like call()
+
+    # A dead destination fails the call when it is driven, not when the
+    # generator is made.
+    server.fail()
+    gen = cep.call_retry(server, "echo", policy=None)
+    seen = []
+
+    def dead():
+        try:
+            yield from gen
+        except RpcUnavailable:
+            seen.append(sim.now)
+
+    sim.process(dead())
+    sim.run()
+    assert len(seen) == 1 and seen[0] > t[1]

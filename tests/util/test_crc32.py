@@ -1,11 +1,12 @@
-"""CRC32 correctness: our from-scratch table implementation must match
-zlib bit-for-bit, and the libmemcache fold must stay in range."""
+"""CRC32 correctness: known-answer vectors, the libmemcache fold's
+range, and the key -> MCD placement it produces."""
 
 import zlib
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.memcached.hashing import Crc32Selector
 from repro.util.crc32 import crc32, memcache_hash
 
 
@@ -58,3 +59,27 @@ def test_memcache_hash_spreads_keys():
         expected = 4096 / nservers
         for b in buckets:
             assert abs(b - expected) / expected < 0.25
+
+
+#: (key, memcache_hash, Crc32Selector server for n=2, for n=4).  crc32
+#: is zlib's, so the zlib-equality tests above compare zlib with itself;
+#: these values, recorded with an independent table-driven CRC32, are
+#: what pins the key -> MCD map.
+PLACEMENT = [
+    ("/bench/stat-hot/d3/f00123:stat", 10497, 1, 1),
+    ("/bench/stat-hot/d1/f00001:stat", 24480, 0, 0),
+    ("/bench/read-spill/d0/f00000:2048", 1383, 1, 3),
+    ("/bench/write-mix/d7/f00511:0", 21359, 1, 3),
+    ("/mnt/gluster/file0001:4096", 1490, 0, 2),
+    ("/mnt/gluster/file0001:stat", 7730, 0, 2),
+    ("/mnt/gluster/d5/file000042:1048576", 15742, 0, 2),
+]
+
+
+@pytest.mark.parametrize("key,h,on2,on4", PLACEMENT)
+def test_placement_is_pinned(key, h, on2, on4):
+    assert memcache_hash(key) == h
+    assert memcache_hash(key.encode()) == h
+    sel = Crc32Selector()
+    assert sel.select(key, 2) == on2
+    assert sel.select(key, 4) == on4
