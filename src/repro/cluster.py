@@ -192,9 +192,6 @@ class GlusterTestbed:
     #: Live membership + resize controller (``config.elastic`` only).
     membership: Optional["McdMembership"] = None
     elastic: Optional["ElasticController"] = None
-    #: Per-client RPC endpoints (fabric + cache-bank), for fast-path
-    #: attribution; empty unless the builder collected them.
-    client_endpoints: list[Endpoint] = field(default_factory=list)
 
     @property
     def server(self) -> GlusterServer:
@@ -261,34 +258,6 @@ class GlusterTestbed:
         stats.extend(sm.mc.stats for sm in self.smcaches if sm is not None)
         return merged_counters(stats)
 
-    def fastpath_stats(self) -> dict[str, int]:
-        """Per-tier fast-path attribution (DESIGN §15): how much each
-        coalescing layer actually collapsed.  All zeros when off."""
-        out = Counter()
-        for ep in self.client_endpoints:
-            v = ep.stats.values
-            out.inc("rpc_batches", v.get("fastpath_batches", 0))
-            out.inc("rpc_coalesced", v.get("fastpath_coalesced", 0))
-        for s in self.servers:
-            gate = s.io_gate
-            if gate is not None:
-                out.inc("server_admit_batches", gate.batches)
-                out.inc("server_admit_coalesced", gate.coalesced)
-        for m in self.all_mcds():
-            gate = m.cpu_gate
-            if gate is not None:
-                out.inc("mcd_admit_batches", gate.batches)
-                out.inc("mcd_admit_coalesced", gate.coalesced)
-        mcc = self.mcclient_stats()
-        out.inc("sf_leads", mcc.get("sf_leads", 0))
-        out.inc("sf_follows", mcc.get("sf_follows", 0))
-        out.inc("sf_redispersed", mcc.get("sf_redispersed", 0))
-        cm = self.cm_stats()
-        out.inc("stat_sf_leads", cm.get("fastpath_stat_leads", 0))
-        out.inc("stat_sf_follows", cm.get("fastpath_stat_follows", 0))
-        out.inc("stat_sf_redispersed", cm.get("fastpath_stat_redispersed", 0))
-        return out.as_dict()
-
     def snapshot_metrics(self):
         """Fold live component state into the registry and return it.
 
@@ -311,12 +280,6 @@ class GlusterTestbed:
         net = reg.component("net")
         for k, v in self.net.stats.as_dict().items():
             net.counters.values[k] = v
-        if self.config.imca.fastpath:
-            # Only materialised when armed: a default-off run's metrics
-            # export must stay byte-identical to the pre-fastpath code.
-            fp = reg.component("fastpath")
-            for k, v in self.fastpath_stats().items():
-                fp.counters.values[k] = int(v)
         tracer = self.obs.tracer
         if tracer.enabled:
             tiers = reg.component("tiers")
@@ -412,16 +375,11 @@ def build_gluster_testbed(
                 ghost_entries=imca.tenant_ghost_entries,
             )
 
-    # Million-client fast path (DESIGN §15): one knob arms the RPC
-    # coalescing window, the get/stat singleflight, and the server/MCD
-    # batch-admission gates together; off keeps every path byte-identical.
-    fastpath = cfg.imca.fastpath
-
     # MCD array.
     mcds = [
         MemcachedDaemon(
             sim, cache_net, Node(sim, f"mcd{i}", cores=cfg.cores), cfg.mcd_memory,
-            tracer=tracer, tenancy_factory=tenancy_factory, fastpath=fastpath,
+            tracer=tracer, tenancy_factory=tenancy_factory,
         )
         for i in range(cfg.num_mcds)
     ]
@@ -438,7 +396,6 @@ def build_gluster_testbed(
             return MemcachedDaemon(
                 sim, cache_net, Node(sim, f"mcd{node_id}", cores=cfg.cores),
                 cfg.mcd_memory, tracer=tracer, tenancy_factory=tenancy_factory,
-                fastpath=fastpath,
             )
 
         elastic = ElasticController(
@@ -461,10 +418,10 @@ def build_gluster_testbed(
             # rr_seed staggers the read round-robin start per holder so
             # concurrent readers don't stampede the same replica first.
             mc = MemcacheClient(
-                Endpoint(cache_net, snode, tracer=tracer, coalesce=fastpath), mcds,
+                Endpoint(cache_net, snode, tracer=tracer), mcds,
                 make_selector(cfg.imca.selector), health=mcd_health,
                 replicas=cfg.imca.replicas, rr_seed=b,
-                membership=membership, singleflight=fastpath,
+                membership=membership,
             )
             smcache = SMCacheXlator(
                 sim, mc, cfg.imca, metrics=reg.component(f"smcache.{snode.name}")
@@ -473,7 +430,7 @@ def build_gluster_testbed(
         servers.append(
             GlusterServer(
                 sim, net, snode, fs, server_xlators,
-                io_threads=cfg.io_threads, tracer=tracer, fastpath=fastpath,
+                io_threads=cfg.io_threads, tracer=tracer,
             )
         )
         smcaches.append(smcache)
@@ -481,24 +438,19 @@ def build_gluster_testbed(
     # Clients.
     clients: list[GlusterClient] = []
     cmcaches: list[Optional[CMCacheXlator]] = []
-    client_endpoints: list[Endpoint] = []
     for i in range(cfg.num_clients):
         cnode = Node(sim, f"client{i}", cores=cfg.cores)
-        ep = Endpoint(net, cnode, tracer=tracer, coalesce=fastpath)
+        ep = Endpoint(net, cnode, tracer=tracer)
         protocols = [ClientProtocol(ep, server, retry=server_retry) for server in servers]
         bottom: Xlator = protocols[0] if len(protocols) == 1 else DistributeXlator(protocols)
         stack: list[Xlator] = []
         cmcache: Optional[CMCacheXlator] = None
         if use_imca:
-            mc_ep = (
-                ep
-                if cache_net is net
-                else Endpoint(cache_net, cnode, tracer=tracer, coalesce=fastpath)
-            )
+            mc_ep = ep if cache_net is net else Endpoint(cache_net, cnode, tracer=tracer)
             mc = MemcacheClient(
                 mc_ep, mcds, make_selector(cfg.imca.selector), health=mcd_health,
                 replicas=cfg.imca.replicas, rr_seed=cfg.num_bricks + i,
-                membership=membership, singleflight=fastpath,
+                membership=membership,
             )
             cmcache = CMCacheXlator(
                 mc, cfg.imca, metrics=reg.component(f"cmcache.{cnode.name}"),
@@ -508,14 +460,10 @@ def build_gluster_testbed(
         stack.append(bottom)
         clients.append(GlusterClient(sim, cnode, Xlator.build_stack(stack), tracer=tracer))
         cmcaches.append(cmcache)
-        client_endpoints.append(ep)
-        if cmcache is not None and cmcache.mc.endpoint is not ep:
-            client_endpoints.append(cmcache.mc.endpoint)
 
     tb = GlusterTestbed(
         sim, net, cfg, servers, mcds, clients, cmcaches, smcaches, obs,
         streams=streams, membership=membership, elastic=elastic,
-        client_endpoints=client_endpoints,
     )
     if obs.sample_interval:
         obs.samplers.append(

@@ -46,15 +46,9 @@ from repro.gluster.xlator import Xlator
 from repro.localfs.types import ReadResult, StatBuf
 from repro.memcached.client import MemcacheClient
 from repro.obs.registry import ComponentMetrics
-from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
-
-#: Published to stat-singleflight followers when the leader's lookup
-#: raised: each follower re-issues its own stat (DESIGN §15).
-_STAT_FAILED = object()
-
 
 @dataclass
 class _Stream:
@@ -107,12 +101,6 @@ class CMCacheXlator(Xlator):
         self._streams: dict[str, _Stream] = {}
         #: path -> block offsets prefetched but not yet hit (accounting).
         self._prefetched: dict[str, set[int]] = {}
-        #: Fast path (DESIGN §15): path -> Event for stats this client
-        #: currently has in flight; concurrent identical stats park on
-        #: the leader's event.  None keeps the scalar path.
-        self._stat_flights: Optional[dict[str, Event]] = (
-            {} if self.config.fastpath else None
-        )
 
     # -- bookkeeping -------------------------------------------------------
     def _note_open(self, path: str) -> None:
@@ -173,49 +161,7 @@ class CMCacheXlator(Xlator):
     # -- intercepted fops -----------------------------------------------------
     def stat(self, path: str) -> Generator:
         """Try the hot tier, then the MCD array; fall back to the server
-        (§4.2).
-
-        With ``fastpath`` on, concurrent stats of the same path from
-        this client collapse onto one in-flight lookup: the leader runs
-        the full tiered path (hot tier, MCD get — itself singleflighted
-        in :class:`MemcacheClient` — then the server), followers park
-        and inherit a *copy* of its result.  A leader that raises
-        publishes a failure marker instead, and every follower re-runs
-        its own lookup — a poisoned result is never shared.
-        """
-        flights = self._stat_flights
-        if flights is None:
-            result = yield from self._stat_scalar(path)
-            return result
-        flight = flights.get(path)
-        if flight is not None:
-            self.metrics.inc("fastpath_stat_follows")
-            tr = self.tracer
-            if tr.oplog is not None:
-                tr.op_tag("stat-coalesced")
-                tr.op_count("fastpath_stat_follows")
-            payload = yield flight
-            if payload is not _STAT_FAILED:
-                self.metrics.inc("stat_hits")
-                return payload.copy() if isinstance(payload, StatBuf) else payload
-            self.metrics.inc("fastpath_stat_redispersed")
-            result = yield from self._stat_scalar(path)
-            return result
-        ev = Event(self.sim)
-        flights[path] = ev
-        self.metrics.inc("fastpath_stat_leads")
-        try:
-            result = yield from self._stat_scalar(path)
-        except BaseException:
-            del flights[path]
-            ev.succeed(_STAT_FAILED)
-            raise
-        del flights[path]
-        ev.succeed(result)
-        return result
-
-    def _stat_scalar(self, path: str) -> Generator:
-        """The tiered stat body (hot tier -> MCD array -> server)."""
+        (§4.2)."""
         tr = self.tracer
         key = self._keys.stat_key(path) if self.config.cache_stat else None
         if key is not None:

@@ -67,7 +67,7 @@ class SMCacheXlator(Xlator):
         self._queue: Optional[Store] = None
         if self.config.threaded_updates:
             self._queue = Store(sim)
-            for i in range(max(1, self.config.update_threads)):
+            for i in range(self.config.update_threads):
                 sim.process(self._update_worker(), name=f"smcache-updater{i}")
 
     # -- update thread ---------------------------------------------------------

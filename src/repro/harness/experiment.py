@@ -124,4 +124,3 @@ def _ensure_loaded() -> None:
     import repro.harness.readpath  # noqa: F401
     import repro.harness.elasticity  # noqa: F401
     import repro.harness.tenants  # noqa: F401
-    import repro.harness.fastpath  # noqa: F401

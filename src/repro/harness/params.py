@@ -404,70 +404,6 @@ PARAMS: dict[str, dict[str, dict]] = {
             ),
         ),
     },
-    # ---- fastpath: batched == scalar equality (DESIGN §15) -------------------
-    # burst == the 8-core client CPU width, so a whole burst clears its
-    # FUSE charge in one sim instant and reaches the coalescing layers
-    # together.  shared_files < burst forces duplicate stats inside each
-    # burst (stat singleflight); file_size/record_size = 8 offsets keeps
-    # every child's read on a distinct warm block.  chaos_window must
-    # cover the slower (scalar) arm's measured phase so crash/restart
-    # events land mid-run on both arms.
-    "fastpath": {
-        "smoke": dict(
-            num_clients=2,
-            num_mcds=3,
-            burst=8,
-            shared_files=5,
-            rounds=4,
-            file_size=16 * KiB,
-            record_size=2 * KiB,
-            mcd_memory=32 * MiB,
-            mcd_timeout=2e-3,
-            cooldown=2e-3,
-            seed=0xFA57,
-            chaos_window=0.02,
-            chaos_rate=600.0,
-            mean_downtime=1.5e-3,
-            warm_for=2e-3,
-            drain_for=2e-3,
-        ),
-        "default": dict(
-            num_clients=4,
-            num_mcds=4,
-            burst=8,
-            shared_files=5,
-            rounds=8,
-            file_size=16 * KiB,
-            record_size=2 * KiB,
-            mcd_memory=32 * MiB,
-            mcd_timeout=2e-3,
-            cooldown=2e-3,
-            seed=0xFA57,
-            chaos_window=0.04,
-            chaos_rate=500.0,
-            mean_downtime=2e-3,
-            warm_for=3e-3,
-            drain_for=3e-3,
-        ),
-        "paper": dict(
-            num_clients=8,
-            num_mcds=6,
-            burst=8,
-            shared_files=5,
-            rounds=24,
-            file_size=32 * KiB,
-            record_size=2 * KiB,
-            mcd_memory=64 * MiB,
-            mcd_timeout=2e-3,
-            cooldown=2e-3,
-            seed=0xFA57,
-            chaos_window=0.12,
-            chaos_rate=400.0,
-            mean_downtime=2e-3,
-            warm_for=4e-3,
-            drain_for=4e-3,
-        ),
-    },
     # ---- tenants: multi-tenant arbitration (ROADMAP item 2) ------------------
     # Tenant dicts are TenantLoad kwargs.  Sizing logic: per-daemon data
     # capacity is mcd_memory minus ~1 page of stat items, in ~2 KiB-class

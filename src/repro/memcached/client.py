@@ -44,7 +44,6 @@ from repro.memcached.hashing import (
 )
 from repro.net.fabric import Node
 from repro.net.rpc import Endpoint, RetryPolicy, RpcError, RpcUnavailable
-from repro.sim.events import Event
 from repro.util.stats import Counter
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,12 +91,6 @@ class _ServerHealth:
         self.probing = False
 
 
-#: Singleflight sentinel published to followers when the leader's fetch
-#: failed: a follower must re-issue its own get rather than inherit a
-#: result poisoned by the leader's (possibly server-specific) failure.
-_SF_FAILED = object()
-
-
 class MemcacheClient:
     """A client node's view of the MCD array."""
 
@@ -110,7 +103,6 @@ class MemcacheClient:
         replicas: int = 1,
         rr_seed: int = 0,
         membership: Optional["McdMembership"] = None,
-        singleflight: bool = False,
     ) -> None:
         if not servers:
             raise ValueError("need at least one memcached server")
@@ -143,11 +135,6 @@ class MemcacheClient:
         self._rr = rr_seed
         self._rr_by_key: dict[str, int] = {}
         self._health = [_ServerHealth() for _ in self.servers]
-        #: Fast path (DESIGN §15): key -> Event for every get this
-        #: client currently has in flight.  Concurrent identical gets
-        #: park on the leader's event instead of issuing their own RPC;
-        #: ``None`` keeps every get on the scalar path.
-        self._inflight: Optional[dict[str, Event]] = {} if singleflight else None
         self.stats = Counter()
         # Spans share the endpoint's tracer; MCD time observed from the
         # client side (RPC wait included) is attributed to the mcd tier.
@@ -345,57 +332,7 @@ class MemcacheClient:
         """Fetch one value; returns :class:`McValue` or None on miss.
 
         A dead server counts as a miss (plus an ``errors`` stat).
-
-        With singleflight enabled (``IMCaConfig.fastpath``), concurrent
-        gets of the same key collapse onto one in-flight fetch: the
-        first caller (the *leader*) issues the RPC, later callers
-        (*followers*) park on its event and inherit the result.  A
-        clean miss is a real result — every scalar caller would have
-        missed too — but a *failed* leader fetch re-disperses: each
-        follower re-issues its own get, so a poisoned result is never
-        shared (and never cached by the callers above).  Followers
-        still book their own ``hits``/``misses``, keeping the logical
-        counters identical to the scalar path.
         """
-        inflight = self._inflight
-        if inflight is None:
-            value = yield from self._get_scalar(key, hint)
-            return value
-        flight = inflight.get(key)
-        if flight is not None:
-            self.stats.inc("sf_follows")
-            if self.tracer.oplog is not None:
-                self.tracer.op_count("fastpath_sf_follows")
-            payload = yield flight
-            if payload is not _SF_FAILED:
-                self.stats.inc("hits" if payload is not None else "misses")
-                return payload
-            self.stats.inc("sf_redispersed")
-            if self.tracer.oplog is not None:
-                self.tracer.op_count("fastpath_sf_redispersed")
-            value = yield from self._get_scalar(key, hint)
-            return value
-        ev = Event(self.endpoint.net.sim)
-        inflight[key] = ev
-        self.stats.inc("sf_leads")
-        failed: list = []
-        try:
-            value = yield from self._get_scalar(key, hint, failed)
-        except BaseException:
-            # _get_scalar degrades failures to misses; this guards the
-            # table against anything unexpected (e.g. an interrupt).
-            del inflight[key]
-            ev.succeed(_SF_FAILED)
-            raise
-        del inflight[key]
-        ev.succeed(_SF_FAILED if failed else value)
-        return value
-
-    def _get_scalar(
-        self, key: str, hint: Optional[int] = None, failed: Optional[list] = None
-    ) -> Generator:
-        """The scalar get body (*failed*, when given, collects a marker
-        if the primary fetch errored — the singleflight poison test)."""
         idx = self._read_idx(key, hint)
         try:
             if self.tracer.enabled:
@@ -404,8 +341,6 @@ class MemcacheClient:
             else:
                 reply = yield from self._call(idx, "get_multi", [key])
         except RpcError:
-            if failed is not None:
-                failed.append(True)
             self.stats.inc("errors")
             if self.membership is None:
                 self.stats.inc("misses")
@@ -480,97 +415,44 @@ class MemcacheClient:
             raise ValueError(
                 f"get_multi: {len(keys)} keys but {len(hints)} hints"
             )
-        inflight = self._inflight
-        riders: dict[str, tuple[Event, Optional[int]]] = {}
-        flights: dict[str, Event] = {}
         by_server: dict[int, list[str]] = {}
         seen: set[str] = set()
-        sim = self.endpoint.net.sim
         for key, hint in zip(keys, hints):
             if key in seen:
                 continue
             seen.add(key)
-            if inflight is not None:
-                flight = inflight.get(key)
-                if flight is not None:
-                    # Ride the in-flight fetch instead of re-issuing it.
-                    riders[key] = (flight, hint)
-                    self.stats.inc("sf_follows")
-                    if self.tracer.oplog is not None:
-                        self.tracer.op_count("fastpath_sf_follows")
-                    continue
-                flights[key] = inflight[key] = Event(sim)
-            idx = self._read_idx(key, hint)
-            by_server.setdefault(idx, []).append(key)
-        out: dict[str, McValue] = {}
-        failed_keys: Optional[set] = set() if inflight is not None else None
-        completed = False
-        try:
-            pending = []
-            for idx, batch in by_server.items():
-                pending.append(
-                    sim.process(
-                        self._get_batch(idx, batch, failed_keys), name="mc-multiget"
-                    )
-                )
-            if self.tracer.enabled:
-                with self.tracer.span("mcd", "mc.get_multi"):
-                    results = yield sim.all_of(pending)
-            else:
+            by_server.setdefault(self._read_idx(key, hint), []).append(key)
+        sim = self.endpoint.net.sim
+        pending = [
+            sim.process(self._get_batch(idx, batch), name="mc-multiget")
+            for idx, batch in by_server.items()
+        ]
+        if self.tracer.enabled:
+            with self.tracer.span("mcd", "mc.get_multi"):
                 results = yield sim.all_of(pending)
-            for partial in results.values():
-                out.update(partial)
-            if (
-                self.membership is not None
-                and self._ketama is not None
-                and self.membership.windows
-                and len(out) < len(seen)
-            ):
-                for idx, batch in by_server.items():
-                    for key in batch:
-                        if key in out:
-                            continue
-                        value = yield from self._forward_get(key, idx)
-                        if value is not None:
-                            out[key] = value
-            completed = True
-        finally:
-            # Publish our fetches to any followers that parked on them
-            # (a failed batch re-disperses its riders, never a result —
-            # and an aborted multi-get never publishes a phantom miss).
-            for key, ev in flights.items():
-                del inflight[key]
-                if not completed or (failed_keys and key in failed_keys):
-                    ev.succeed(_SF_FAILED)
-                else:
-                    ev.succeed(out.get(key))
-        redispersed: set = set()
-        if riders:
-            results = yield sim.all_of([ev for ev, _ in riders.values()])
-            for key, (ev, hint) in riders.items():
-                payload = results[ev]
-                if payload is _SF_FAILED:
-                    # The flight we rode failed: fetch individually
-                    # (books its own hit/miss, so the bulk booking
-                    # below must skip this key).
-                    self.stats.inc("sf_redispersed")
-                    if self.tracer.oplog is not None:
-                        self.tracer.op_count("fastpath_sf_redispersed")
-                    redispersed.add(key)
-                    payload = yield from self._get_scalar(key, hint)
-                if payload is not None:
-                    out[key] = payload
-        if redispersed:
-            hits = sum(1 for k in out if k not in redispersed)
         else:
-            hits = len(out)
-        self.stats.inc("hits", hits)
-        self.stats.inc("misses", len(seen) - len(redispersed) - hits)
+            results = yield sim.all_of(pending)
+        out: dict[str, McValue] = {}
+        for partial in results.values():
+            out.update(partial)
+        if (
+            self.membership is not None
+            and self._ketama is not None
+            and self.membership.windows
+            and len(out) < len(seen)
+        ):
+            for idx, batch in by_server.items():
+                for key in batch:
+                    if key in out:
+                        continue
+                    value = yield from self._forward_get(key, idx)
+                    if value is not None:
+                        out[key] = value
+        self.stats.inc("hits", len(out))
+        self.stats.inc("misses", len(seen) - len(out))
         return out
 
-    def _get_batch(
-        self, idx: int, keys: list[str], failed_keys: Optional[set] = None
-    ) -> Generator:
+    def _get_batch(self, idx: int, keys: list[str]) -> Generator:
         try:
             if self.tracer.enabled:
                 with self.tracer.span("mcd", "mc.batch"):
@@ -579,8 +461,6 @@ class MemcacheClient:
                 reply = yield from self._call(idx, "get_multi", keys)
         except RpcError:
             self.stats.inc("errors")
-            if failed_keys is not None:
-                failed_keys.update(keys)
             return {}
         return reply
 

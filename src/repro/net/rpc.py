@@ -28,7 +28,6 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.net.fabric import Network, NetworkError, Node
 from repro.obs.trace import NULL_TRACER
-from repro.sim.events import Event
 from repro.util.stats import Counter
 
 
@@ -120,20 +119,13 @@ HEADER_SIZE = 96
 class Endpoint:
     """RPC endpoint binding one node to one network."""
 
-    def __init__(
-        self, net: Network, node: Node, tracer=NULL_TRACER, coalesce: bool = False
-    ) -> None:
+    def __init__(self, net: Network, node: Node, tracer=NULL_TRACER) -> None:
         if not net.attached(node):
             net.attach(node)
         self.net = net
         self.node = node
         self.stats = Counter()
         self.tracer = tracer
-        # Fast path (DESIGN §15): when enabled, concurrent calls issued
-        # from this endpoint to the same destination within one sim
-        # instant share a single transfer_batch request burst.  ``None``
-        # keeps the scalar chain byte-identical.
-        self._pending: Optional[dict] = {} if coalesce else None
 
     def register(self, service: str, handler: RpcHandler) -> None:
         if service in self.node.services:
@@ -252,9 +244,6 @@ class Endpoint:
         req_size: int = 0,
     ) -> Generator[Any, Any, Any]:
         """The call body: request transfer, handler, response transfer."""
-        if self._pending is not None:
-            reply = yield from self._invoke_coalesced(dst, service, args, req_size)
-            return reply
         if dst.alive and service not in dst.services:
             raise RpcUnavailable(f"no service {service!r} on {dst.name}")
         self.stats.inc("calls")
@@ -273,21 +262,9 @@ class Endpoint:
             self.stats.inc("errors")
             raise RpcUnavailable(f"{dst.name} died during call")
 
-        reply = yield from self._serve(dst, service, args, req_size)
-        return reply
-
-    def _serve(
-        self,
-        dst: Node,
-        service: str,
-        args: Any,
-        req_size: int,
-    ) -> Generator[Any, Any, Any]:
-        """Request delivered: run the handler, return the response."""
         handler = dst.services[service]
         reply, resp_size = yield from handler(RpcCall(self.node, dst, service, args, req_size))
 
-        tracer = self.tracer
         try:
             if tracer.enabled:
                 with tracer.span("network", f"net.resp.{service}"):
@@ -297,103 +274,4 @@ class Endpoint:
         except NetworkError as e:
             self.stats.inc("errors")
             raise RpcUnavailable(str(e)) from None
-        return reply
-
-    def _invoke_coalesced(
-        self,
-        dst: Node,
-        service: str,
-        args: Any,
-        req_size: int,
-    ) -> Generator[Any, Any, Any]:
-        """The fast-path call body: same-instant calls from this
-        endpoint to *dst* share one ``transfer_batch`` request burst.
-
-        The first caller at a given instant opens a *coalescing window*
-        and parks on a zero-delay timeout; every other call to the same
-        destination issued before that timeout fires (i.e. within the
-        same sim instant) appends its request frame to the burst and
-        parks on a per-call event.  The window leader then charges one
-        batched five-station request chain for the whole burst and
-        wakes every rider at its delivery instant.  From there each
-        call runs its own handler and response leg in its own process,
-        exactly as on the scalar path — so per-call replies, faults,
-        timeouts (``call(timeout=)`` races this body as a child
-        process), and at-least-once retry semantics are unchanged.
-
-        A window that closes with a single call takes the scalar
-        request chain, so uncontended traffic keeps scalar timings.
-        """
-        if dst.alive and service not in dst.services:
-            raise RpcUnavailable(f"no service {service!r} on {dst.name}")
-        self.stats.inc("calls")
-        sim = self.net.sim
-        tracer = self.tracer
-        batch = self._pending.get(dst)
-        if batch is not None:
-            # Window already open: ride the leader's request burst.
-            self.stats.inc("fastpath_coalesced")
-            if tracer.oplog is not None:
-                tracer.op_count("fastpath_rpc_coalesced")
-            ev = Event(sim)
-            batch[0].append(HEADER_SIZE + req_size)
-            batch[1].append(ev)
-            try:
-                # Fails with the leader's RpcUnavailable if the burst dies.
-                yield ev
-            except RpcUnavailable:
-                self.stats.inc("errors")
-                raise
-            reply = yield from self._serve(dst, service, args, req_size)
-            return reply
-
-        sizes = [HEADER_SIZE + req_size]
-        waiters: list[Event] = []
-        self._pending[dst] = (sizes, waiters)
-        # Hold the window open for the remainder of this sim instant.
-        yield sim.pooled_timeout(0.0)
-        del self._pending[dst]
-
-        if not waiters:
-            # Alone in the window: identical scalar request chain.
-            try:
-                if tracer.enabled:
-                    with tracer.span("network", f"net.req.{service}"):
-                        yield self.net.transfer(self.node, dst, sizes[0])
-                else:
-                    yield self.net.transfer(self.node, dst, sizes[0])
-            except NetworkError as e:
-                self.stats.inc("errors")
-                raise RpcUnavailable(str(e)) from None
-            if not dst.alive:
-                self.stats.inc("errors")
-                raise RpcUnavailable(f"{dst.name} died during call")
-            reply = yield from self._serve(dst, service, args, req_size)
-            return reply
-
-        self.stats.inc("fastpath_batches")
-        if tracer.oplog is not None:
-            tracer.op_count("fastpath_rpc_batches")
-        try:
-            if tracer.enabled:
-                with tracer.span("network", f"net.req.{service}"):
-                    yield self.net.transfer_batch(self.node, dst, sizes)
-            else:
-                yield self.net.transfer_batch(self.node, dst, sizes)
-        except NetworkError as e:
-            self.stats.inc("errors")
-            err = RpcUnavailable(str(e))
-            for ev in waiters:
-                ev.fail(err)
-            raise err from None
-        if not dst.alive:
-            # Died while the burst was in flight: the whole burst fails.
-            self.stats.inc("errors")
-            err = RpcUnavailable(f"{dst.name} died during call")
-            for ev in waiters:
-                ev.fail(err)
-            raise err
-        for ev in waiters:
-            ev.succeed()
-        reply = yield from self._serve(dst, service, args, req_size)
         return reply

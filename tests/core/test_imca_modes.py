@@ -57,6 +57,13 @@ def test_threaded_mode_still_reaches_coherent_state():
     assert tb2_items >= 2  # blocks + stat eventually pushed
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_config_rejects_fewer_than_one_update_thread(threads):
+    # Threaded mode needs at least one worker to drain the update queue.
+    with pytest.raises(ValueError, match="update_threads"):
+        IMCaConfig(threaded_updates=True, update_threads=threads)
+
+
 def test_threaded_write_latency_close_to_nocache():
     """Fig 6(c): threaded IMCa write latency ~= NoCache write latency."""
     thr_lat, _ = write_latency(threaded=True)

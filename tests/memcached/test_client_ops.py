@@ -23,6 +23,25 @@ def drive(sim, gen):
     return p.value
 
 
+def test_scalar_client_issues_one_rpc_per_get():
+    """Six concurrent gets of one key cost six RPCs: the client never
+    folds identical in-flight gets together."""
+    sim, mc, _ = make()
+    drive(sim, mc.set("k", b"v", 1))
+    mc.endpoint.stats.values.clear()
+    got = []
+
+    def proc():
+        v = yield from mc.get("k")
+        got.append(v.value)
+
+    for _ in range(6):
+        sim.process(proc())
+    sim.run()
+    assert got == [b"v"] * 6
+    assert mc.endpoint.stats.values["calls"] == 6
+
+
 def test_add_and_replace():
     sim, mc, _ = make()
 

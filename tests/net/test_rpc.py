@@ -157,3 +157,33 @@ def test_rpc_stats_counted():
     sim.process(proc(sim, cep, server))
     sim.run()
     assert cep.stats.get("calls") == 3
+
+
+def test_destination_death_mid_request_fails_every_call():
+    """The destination dying while requests are in flight fails each
+    concurrent call with RpcUnavailable; none hangs."""
+    sim, net, client, server, cep, sep = make_pair()
+
+    def echo(call):
+        return call.args, 64
+        yield  # pragma: no cover  (generator handler that never waits)
+
+    sep.register("echo", echo)
+    errors = []
+
+    def killer():
+        yield sim.timeout(1e-9)
+        server.fail()
+
+    def proc(k):
+        try:
+            yield from cep.call(server, "echo", k)
+        except RpcUnavailable:
+            errors.append(k)
+
+    for k in range(3):
+        sim.process(proc(k))
+    sim.process(killer())
+    sim.run()
+    assert sorted(errors) == [0, 1, 2]
+    assert cep.stats.values["errors"] == 3

@@ -1,22 +1,20 @@
-"""Tests for the Endpoint coalescing window (DESIGN §15).
+"""Tests for calls that must fail before any request traffic starts.
 
-With ``coalesce=True`` concurrent same-(src, dst) calls issued in the
-same sim instant ride one ``transfer_batch`` request chain; per-call
-replies, error semantics, and uncontended timings stay scalar.
+An unknown service is rejected up front: no request bytes cross the
+network, no simulated time passes and the call is not counted, whether
+one call or a same-instant group of calls asks for it.
 """
-
-import pytest
 
 from repro.net import IPOIB, Network, Node
 from repro.net.rpc import Endpoint, RpcUnavailable
 from repro.sim import Simulator
 
 
-def make_pair(coalesce):
+def make_pair():
     sim = Simulator()
     net = Network(sim, IPOIB)
     a, b = Node(sim, "a"), Node(sim, "b")
-    cep = Endpoint(net, a, coalesce=coalesce)
+    cep = Endpoint(net, a)
     sep = Endpoint(net, b)
 
     def echo(call):
@@ -27,126 +25,19 @@ def make_pair(coalesce):
     return sim, cep, b
 
 
-def test_same_instant_calls_share_one_request_burst():
-    sim, cep, dst = make_pair(coalesce=True)
-    replies = {}
-
-    def proc(k):
-        replies[k] = yield from cep.call(dst, "echo", k, req_size=128)
-
-    for k in range(5):
-        sim.process(proc(k))
-    sim.run()
-    # Every call got its own reply despite sharing the request chain.
-    assert replies == {k: k * 2 for k in range(5)}
-    assert cep.stats.values["calls"] == 5
-    assert cep.stats.values["fastpath_batches"] == 1
-    assert cep.stats.values["fastpath_coalesced"] == 4
-
-
-def test_scalar_endpoint_never_coalesces():
-    sim, cep, dst = make_pair(coalesce=False)
-
-    def proc(k):
-        yield from cep.call(dst, "echo", k)
-
-    for k in range(5):
-        sim.process(proc(k))
-    sim.run()
-    assert "fastpath_batches" not in cep.stats.values
-    assert "fastpath_coalesced" not in cep.stats.values
-    assert cep.stats.values["calls"] == 5
-
-
-def test_solo_window_keeps_scalar_timing():
-    """A window that closes with one call must complete at the exact
-    instant the scalar chain would."""
-    results = {}
-    for coalesce in (False, True):
-        sim, cep, dst = make_pair(coalesce)
-        done = []
-
-        def proc():
-            reply = yield from cep.call(dst, "echo", 7, req_size=256)
-            done.append((reply, sim.now))
-
-        sim.process(proc())
-        sim.run()
-        results[coalesce] = done
-    assert results[False] == results[True]
-
-
-def test_staggered_calls_do_not_coalesce():
-    sim, cep, dst = make_pair(coalesce=True)
-
-    def proc(delay):
-        yield sim.timeout(delay)
-        yield from cep.call(dst, "echo", 1)
-
-    sim.process(proc(0.0))
-    sim.process(proc(1e-3))
-    sim.run()
-    assert "fastpath_batches" not in cep.stats.values
-    assert "fastpath_coalesced" not in cep.stats.values
-
-
-def test_coalesced_equals_scalar_replies_and_call_counts():
-    """The batched arm retires the identical logical work — same
-    replies, same per-endpoint call count — through one request burst
-    instead of eight scalar reservation chains."""
-    outcomes = {}
-    for coalesce in (False, True):
-        sim, cep, dst = make_pair(coalesce)
-        replies = []
-
-        def proc(k):
-            r = yield from cep.call(dst, "echo", k)
-            replies.append(r)
-
-        for k in range(8):
-            sim.process(proc(k))
-        sim.run()
-        outcomes[coalesce] = (sorted(replies), cep.stats.values["calls"])
-    assert outcomes[False] == outcomes[True]
-
-
 def test_unknown_service_raises_before_the_window_opens():
-    sim, cep, dst = make_pair(coalesce=True)
+    sim, cep, dst = make_pair()
     caught = []
 
     def proc():
         try:
             yield from cep.call(dst, "ghost", None)
         except RpcUnavailable as e:
-            caught.append(str(e))
+            caught.append((str(e), sim.now))
 
-    sim.process(proc())
+    for _ in range(3):
+        sim.process(proc())
     sim.run()
-    assert len(caught) == 1 and "ghost" in caught[0]
-    assert "fastpath_batches" not in cep.stats.values
-
-
-def test_burst_failure_fails_every_rider():
-    """The destination dying while the burst is in flight fails the
-    leader and every rider with RpcUnavailable."""
-    sim, cep, dst = make_pair(coalesce=True)
-    errors = []
-
-    def killer():
-        # The window closes after one zero-delay timeout; the request
-        # traversal is still in flight well past that instant.
-        yield sim.timeout(1e-9)
-        dst.fail()
-
-    def proc(k):
-        try:
-            yield from cep.call(dst, "echo", k)
-        except RpcUnavailable:
-            errors.append(k)
-
-    for k in range(3):
-        sim.process(proc(k))
-    sim.process(killer())
-    sim.run()
-    assert sorted(errors) == [0, 1, 2]
-    assert cep.stats.values["errors"] >= 1
+    assert len(caught) == 3
+    assert all("ghost" in msg and at == 0.0 for msg, at in caught)
+    assert "calls" not in cep.stats.values

@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
-from repro.cli import main
+from repro.cli import SUGAR, main
+from repro.harness import get
+from repro.harness.experiment import ExperimentResult
 
 
 def test_list_prints_experiments(capsys):
@@ -109,3 +112,48 @@ def test_run_prints_tier_breakdown(capsys):
     out = capsys.readouterr().out
     assert "per-tier latency breakdown" in out
     assert "disk" in out
+
+
+@pytest.mark.parametrize("exp_id", SUGAR)
+def test_sugar_subcommand_dispatches_like_run(exp_id, monkeypatch, capsys):
+    calls = []
+
+    def fake_run(scale, **kwargs):
+        calls.append((scale, kwargs))
+        result = ExperimentResult(exp_id, scale)
+        result.check("ran", True, f"kwargs={sorted(kwargs)}")
+        return result
+
+    monkeypatch.setattr(get(exp_id), "run", fake_run)
+    assert main([exp_id, "--scale", "smoke", "--json"]) == 0
+    sugar_out = json.loads(capsys.readouterr().out)
+    assert main(["run", exp_id, "--scale", "smoke", "--json"]) == 0
+    run_out = json.loads(capsys.readouterr().out)
+    assert [scale for scale, _ in calls] == ["smoke", "smoke"]
+    assert sugar_out["experiment_id"] == run_out["experiment_id"] == exp_id
+    # Only `chaos --replicas` adds a runner kwarg, at the runner's default.
+    assert calls[0][1] == ({"replicas": 1} if exp_id == "chaos" else {})
+    assert calls[1][1] == {}
+
+
+def test_sugar_help_comes_from_the_registry(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for exp_id in SUGAR:
+        exp = get(exp_id)
+        assert f"{exp.title} ({exp.figure})" in out
+
+
+def test_subcommands_are_the_fixed_set_plus_registry_sugar(capsys):
+    # A sugar command exists only for an id in SUGAR: an experiment
+    # removed from the registry leaves no top-level subcommand behind.
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    choices = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
+    fixed = {"list", "run", "run-all", "bench", "analyze", "report"}
+    assert set(choices.split(",")) == fixed | set(SUGAR)
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-experiment", "--scale", "smoke"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
