@@ -344,19 +344,11 @@ class CMCacheXlator(Xlator):
         if self.tracer.oplog is not None:
             self.tracer.op_count("fill_ranges", len(ranges))
             self.tracer.op_count("fill_blocks", len(missing))
-        if len(ranges) == 1:
-            aoff, asize = ranges[0]
-            fetched = yield from self._down().read(path, aoff, asize)
-            results = [fetched]
-        else:
-            # Several disjoint runs: fetch them concurrently (the server
-            # io-threads pipeline them; wall time ~ largest, not sum).
-            procs = [
-                self.sim.process(self._down().read(path, aoff, asize), name="cm-fill")
-                for aoff, asize in ranges
-            ]
-            got = yield self.sim.all_of(procs)
-            results = [got[p] for p in procs]
+        # Disjoint runs are fetched concurrently (the server io-threads
+        # pipeline them; wall time ~ largest, not sum).
+        results = yield from self.sim.gather(
+            [self._down().read(path, aoff, asize) for aoff, asize in ranges], "cm-fill"
+        )
         for r in results:
             if r is None or r.size <= 0:
                 continue

@@ -120,16 +120,8 @@ class SMCacheXlator(Xlator):
         width = self._fanout_width()
         if width:
             self.metrics.inc("replica_pushes", width * len(todo))
-        if len(todo) == 1:
-            key, bv, hint = todo[0]
-            ok = yield from self.mc.set(
-                key, bv, nbytes=bv.length, ttl=self.config.block_ttl, hint=hint
-            )
-            if ok:
-                pushed.add(bv.block_offset)
-            return
-        # Several blocks: the daemon pipelines its MCD connections, so
-        # the sets proceed concurrently (wall time ~ slowest, not sum).
+        # The daemon pipelines its MCD connections, so several blocks'
+        # sets proceed concurrently (wall time ~ slowest, not sum).
         def one(key: str, bv, hint: int) -> Generator:
             ok = yield from self.mc.set(
                 key, bv, nbytes=bv.length, ttl=self.config.block_ttl, hint=hint
@@ -137,11 +129,7 @@ class SMCacheXlator(Xlator):
             if ok:
                 pushed.add(bv.block_offset)
 
-        procs = [
-            self.sim.process(one(key, bv, hint), name="smcache-push")
-            for key, bv, hint in todo
-        ]
-        yield self.sim.all_of(procs)
+        yield from self.sim.gather([one(*t) for t in todo], "smcache-push")
 
     def _purge_data(self, path: str) -> Generator:
         offsets = self._pushed.pop(path, None)

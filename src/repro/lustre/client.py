@@ -203,29 +203,20 @@ class LustreClient:
     def _fetch_range(self, path: str, offset: int, size: int) -> Generator:
         """One ranged fetch, with per-OST runs issued in parallel."""
         runs = self.layout.split(offset, size, path)
-        results: list[Optional[ReadResult]] = [None] * len(runs)
-
-        def one(i: int, ost_idx: int, obj_off: int, length: int) -> Generator:
-            r: ReadResult = yield from self._ost_call(
-                self.osts[ost_idx], "read", (path, obj_off, length), RPC_OVERHEAD
-            )
-            results[i] = r
-
-        if len(runs) == 1:
-            ost_idx, obj_off, _file_off, length = runs[0]
-            yield from one(0, ost_idx, obj_off, length)
-        else:
-            procs = [
-                self.sim.process(one(i, ost_idx, obj_off, length), name="lustre-fetch")
-                for i, (ost_idx, obj_off, _f, length) in enumerate(runs)
-            ]
-            yield self.sim.all_of(procs)
+        results: list[ReadResult] = yield from self.sim.gather(
+            [
+                self._ost_call(
+                    self.osts[ost_idx], "read", (path, obj_off, length), RPC_OVERHEAD
+                )
+                for ost_idx, obj_off, _f, length in runs
+            ],
+            "lustre-fetch",
+        )
 
         intervals: list[tuple[int, int, int]] = []
         data_parts: list[Optional[bytes]] = []
         total = 0
         for (ost_idx, obj_off, file_off, length), r in zip(runs, results):
-            assert r is not None
             shift = file_off - obj_off
             intervals.extend((s + shift, e + shift, v) for s, e, v in r.intervals)
             data_parts.append(r.data)
@@ -271,30 +262,21 @@ class LustreClient:
             return 0
         yield from self._ensure_lock(path, PW)
         runs = self.layout.split(offset, size, path)
-        versions: list[int] = [0] * len(runs)
 
-        def one(i: int, ost_idx: int, obj_off: int, file_off: int, length: int) -> Generator:
+        def one(ost_idx: int, obj_off: int, file_off: int, length: int) -> Generator:
             payload = None
             if data is not None:
                 lo = file_off - offset
                 payload = data[lo : lo + length]
-            versions[i] = yield from self._ost_call(
+            return self._ost_call(
                 self.osts[ost_idx],
                 "write",
                 (path, obj_off, length, payload),
                 RPC_OVERHEAD + length,
             )
 
-        if len(runs) == 1:
-            ost_idx, obj_off, file_off, length = runs[0]
-            yield from one(0, ost_idx, obj_off, file_off, length)
-        else:
-            # Write RPCs to the stripe set proceed concurrently.
-            procs = [
-                self.sim.process(one(i, *run), name="lustre-write")
-                for i, run in enumerate(runs)
-            ]
-            yield self.sim.all_of(procs)
+        # Write RPCs to the stripe set proceed concurrently.
+        versions = yield from self.sim.gather([one(*run) for run in runs], "lustre-write")
         version = max(versions)
         # Keep our own cache coherent with what we just wrote.
         for chunk in range(offset // FETCH_CHUNK, (offset + size - 1) // FETCH_CHUNK + 1):

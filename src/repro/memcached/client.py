@@ -423,17 +423,14 @@ class MemcacheClient:
             seen.add(key)
             by_server.setdefault(self._read_idx(key, hint), []).append(key)
         sim = self.endpoint.net.sim
-        pending = [
-            sim.process(self._get_batch(idx, batch), name="mc-multiget")
-            for idx, batch in by_server.items()
-        ]
+        batches = [self._get_batch(idx, batch) for idx, batch in by_server.items()]
         if self.tracer.enabled:
             with self.tracer.span("mcd", "mc.get_multi"):
-                results = yield sim.all_of(pending)
+                results = yield from sim.gather(batches, "mc-multiget")
         else:
-            results = yield sim.all_of(pending)
+            results = yield from sim.gather(batches, "mc-multiget")
         out: dict[str, McValue] = {}
-        for partial in results.values():
+        for partial in results:
             out.update(partial)
         if (
             self.membership is not None
@@ -475,8 +472,6 @@ class MemcacheClient:
         replicas must see every write and every purge, or a stale copy
         survives on the replica the purge skipped.
         """
-        sim = self.endpoint.net.sim
-
         def one(idx: int) -> Generator:
             try:
                 reply = yield from self._call(idx, op, payload)
@@ -485,14 +480,12 @@ class MemcacheClient:
                 return None
             return reply
 
-        if len(idxs) == 1:
-            result = yield from one(idxs[0])
-            return [result]
-        procs = [sim.process(one(i), name="mc-fanout") for i in idxs]
-        results = yield sim.all_of(procs)
-        if count_replicas:
+        results = yield from self.endpoint.net.sim.gather(
+            [one(i) for i in idxs], "mc-fanout"
+        )
+        if count_replicas and len(idxs) > 1:
             self.stats.inc("replica_writes", len(idxs) - 1)
-        return [results[p] for p in procs]
+        return results
 
     # -- storage ---------------------------------------------------------------
     def set(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import partial
 from heapq import heappop, heappush
 from itertools import repeat
-from typing import Any, Iterable
+from typing import Any, Generator, Iterable, Sequence
 
 from repro.sim.errors import EmptySchedule, StopSimulation
 from repro.sim.events import (
@@ -121,6 +121,45 @@ class Simulator:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
+
+    def gather(
+        self, gens: Sequence[ProcessGenerator], name: str | None = None
+    ) -> Generator[Event, Any, list]:
+        """Run *gens* concurrently; results in list order.
+
+        Use as ``results = yield from sim.gather(gens, name)``.
+        ``gens[0]`` runs inline in the caller, with no process, start or
+        completion event; ``gens[1:]`` become child processes named
+        *name*, joined directly if there is one and with ``AllOf`` if
+        more.  The children are created first, so every branch reaches
+        its first yield at the caller's instant in list order, as if all
+        had been spawned, and keeps that order on shared stations.
+
+        A failing branch fails the caller.  A child that fails while the
+        caller is still in the inline branch is held for the join.  If
+        the inline branch raises, the caller gets that exception at
+        once: a child that had already failed is dropped, and a child
+        still running is released, so a later failure of it reaches the
+        run loop as an unjoined process's would.
+        """
+        if not gens:
+            return []
+        procs = [Process(self, gen, name=name) for gen in gens[1:]]
+        for proc in procs:
+            proc._defused = True  # held for the join, not the run loop
+        try:
+            first = yield from gens[0]
+        except BaseException:
+            for proc in procs:
+                if not proc.triggered:
+                    proc._defused = False
+            raise
+        if not procs:
+            return [first]
+        if len(procs) == 1:
+            return [first, (yield procs[0])]
+        done = yield AllOf(self, procs)
+        return [first, *(done[p] for p in procs)]
 
     # -- scheduling --------------------------------------------------------
     def _schedule(
